@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 STATICCHECK := $(shell command -v staticcheck 2>/dev/null)
 
-.PHONY: all build test test-short check lint fleet-race race serve-smoke tournament-smoke bench bench-json bench-smoke experiments extensions csv clean
+.PHONY: all build test test-short check lint fleet-race perfbench-check race serve-smoke tournament-smoke bench bench-json bench-smoke experiments extensions csv clean
 
 all: build test
 
@@ -39,11 +39,18 @@ endif
 fleet-race:
 	$(GO) test -race -count=1 ./internal/fleet ./internal/governor
 
+# perfbench/ is a nested module (the repo benchmark), so the root
+# `./...` patterns never compile it; build, vet and test it on its own
+# so an API deletion that breaks the benchmark fails the gate.
+perfbench-check:
+	cd perfbench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
+
 # The strict gate: lint, the fleet determinism suite, the full suite
-# under the race detector, then a live client/server smoke over real
-# sockets. The telemetry hot paths are lock-free atomics shared with
-# HTTP readers, so -race is part of the default bar, not an extra.
-check: lint fleet-race
+# under the race detector, the benchmark module, then a live
+# client/server smoke over real sockets. The telemetry hot paths are
+# lock-free atomics shared with HTTP readers, so -race is part of the
+# default bar, not an extra.
+check: lint fleet-race perfbench-check
 	$(GO) test -race ./...
 	$(MAKE) serve-smoke
 	$(MAKE) tournament-smoke

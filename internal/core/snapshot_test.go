@@ -372,3 +372,78 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+func TestGPHTSnapshotRoundTrip(t *testing.T) {
+	tab := phase.Default()
+	obs := obsFromPhases(tab, repeatPattern([]phase.ID{5, 2, 6, 2, 2, 5}, 600))
+
+	// Train on the first half.
+	trained := MustNewGPHT(DefaultGPHTConfig())
+	for _, o := range obs[:300] {
+		trained.Observe(o)
+	}
+	blob := trained.Snapshot(nil)
+
+	// Restore into a fresh predictor of the same configuration.
+	restored := MustNewGPHT(DefaultGPHTConfig())
+	if err := restored.Restore(blob); err != nil {
+		t.Fatal(err)
+	}
+	if restored.Hits() != trained.Hits() || restored.Misses() != trained.Misses() {
+		t.Errorf("statistics not restored")
+	}
+
+	// Both must behave identically on the second half.
+	for i, o := range obs[300:] {
+		a := trained.Observe(o)
+		b := restored.Observe(o)
+		if a != b {
+			t.Fatalf("divergence at continuation step %d: %v vs %v", i, a, b)
+		}
+	}
+}
+
+func TestGPHTSnapshotSkipsWarmup(t *testing.T) {
+	// A predictor restored from a trained snapshot predicts a learned
+	// pattern immediately; a fresh one needs a full pattern pass.
+	tab := phase.Default()
+	pattern := []phase.ID{1, 4, 2, 6, 3, 5}
+	obs := obsFromPhases(tab, repeatPattern(pattern, 600))
+	trained := MustNewGPHT(DefaultGPHTConfig())
+	for _, o := range obs {
+		trained.Observe(o)
+	}
+	restored := MustNewGPHT(DefaultGPHTConfig())
+	if err := restored.Restore(trained.Snapshot(nil)); err != nil {
+		t.Fatal(err)
+	}
+	// Continue the stream exactly where training stopped (the pattern
+	// keeps cycling): the restored predictor is already in sync and
+	// must predict near-perfectly, no warm-up pass needed.
+	continuation := obsFromPhases(tab, repeatPattern(pattern, 60))
+	wrong := 0
+	pending := restored.Observe(continuation[0])
+	for _, o := range continuation[1:] {
+		if pending != o.Phase {
+			wrong++
+		}
+		pending = restored.Observe(o)
+	}
+	if wrong > 2 {
+		t.Errorf("restored predictor made %d mispredictions on a learned pattern", wrong)
+	}
+	// A fresh predictor on the same continuation mispredicts during
+	// its warm-up, demonstrating what the snapshot saves.
+	fresh := MustNewGPHT(DefaultGPHTConfig())
+	freshWrong := 0
+	pending = fresh.Observe(continuation[0])
+	for _, o := range continuation[1:] {
+		if pending != o.Phase {
+			freshWrong++
+		}
+		pending = fresh.Observe(o)
+	}
+	if freshWrong <= wrong {
+		t.Errorf("fresh predictor (%d wrong) did not pay a warm-up cost vs restored (%d wrong)", freshWrong, wrong)
+	}
+}

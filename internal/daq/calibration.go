@@ -1,12 +1,5 @@
 package daq
 
-import (
-	"encoding/csv"
-	"fmt"
-	"io"
-	"strconv"
-)
-
 // Calibration models the systematic errors of the measurement chain —
 // the reason the paper's absolute watts carry an instrument tolerance
 // even when the methodology is sound. Gain error scales the
@@ -40,28 +33,4 @@ func (c Calibration) ApplyAll(samples []Sample) []Sample {
 		out[i] = c.Apply(s)
 	}
 	return out
-}
-
-// WriteCSV exports a sample stream (one row per DAQ record) for
-// external analysis, with reconstructed power as a derived column.
-func WriteCSV(w io.Writer, samples []Sample) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"t_s", "vcpu_v", "i1_a", "i2_a", "port", "power_w"}); err != nil {
-		return fmt.Errorf("daq: writing header: %w", err)
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	for i, s := range samples {
-		row := []string{
-			f(s.T), f(s.VCPU), f(s.I1), f(s.I2),
-			strconv.Itoa(int(s.Port)), f(s.PowerW()),
-		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("daq: writing sample %d: %w", i, err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("daq: flushing: %w", err)
-	}
-	return nil
 }

@@ -1,9 +1,7 @@
 package daq
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"phasemon/internal/machine"
@@ -55,28 +53,5 @@ func TestOffsetBiasesPower(t *testing.T) {
 		if math.Abs(got-wantBias)/wantBias > 1e-9 {
 			t.Fatalf("sample %d: bias %v, want %v", i, got, wantBias)
 		}
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	samples := idealSamples(t, 8, 1.2, 0.001)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, samples); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(samples)+1 {
-		t.Fatalf("CSV has %d lines, want %d", len(lines), len(samples)+1)
-	}
-	if !strings.HasPrefix(lines[0], "t_s,vcpu_v,i1_a,i2_a,port,power_w") {
-		t.Errorf("header = %q", lines[0])
-	}
-	// Power column reconstructs ~8 W.
-	fields := strings.Split(lines[1], ",")
-	if len(fields) != 6 {
-		t.Fatalf("row has %d fields", len(fields))
-	}
-	if !strings.HasPrefix(fields[5], "8") && !strings.HasPrefix(fields[5], "7.9") {
-		t.Errorf("power field = %q, want ~8", fields[5])
 	}
 }

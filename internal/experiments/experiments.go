@@ -30,10 +30,10 @@ type Options struct {
 	// Granularity is the sampling interval in uops; 0 selects the
 	// paper's 100M.
 	Granularity float64
-	// Workers bounds how many governed runs the fleet-backed
-	// experiments (Figures 11-13) execute concurrently; 0 selects
-	// GOMAXPROCS. The worker count never changes results, only wall
-	// time.
+	// Workers bounds how many benchmarks (Figures 3-5) or governed
+	// runs (Figures 11-13) an experiment evaluates concurrently, all on
+	// fleet's pool; 0 selects GOMAXPROCS. The worker count never
+	// changes results, only wall time.
 	Workers int
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -365,5 +366,28 @@ func TestHeadlineNumbers(t *testing.T) {
 	}
 	if h.GPHTOverReactive <= 0 {
 		t.Errorf("proactive advantage %v, paper reports ~7%%", h.GPHTOverReactive)
+	}
+}
+
+// TestPredictionFiguresIdenticalAcrossWorkers pins Figures 3-5 to the
+// fleet determinism contract: the worker count changes wall time only.
+func TestPredictionFiguresIdenticalAcrossWorkers(t *testing.T) {
+	figures := map[string]func(Options) (any, error){
+		"fig3": func(o Options) (any, error) { return Figure3(o) },
+		"fig4": func(o Options) (any, error) { return Figure4(o) },
+		"fig5": func(o Options) (any, error) { return Figure5(o) },
+	}
+	for name, fig := range figures {
+		serial, err := fig(Options{Intervals: 300, Seed: 1, Workers: 1})
+		if err != nil {
+			t.Fatalf("%s workers=1: %v", name, err)
+		}
+		parallel, err := fig(Options{Intervals: 300, Seed: 1, Workers: 4})
+		if err != nil {
+			t.Fatalf("%s workers=4: %v", name, err)
+		}
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Errorf("%s differs between 1 and 4 workers", name)
+		}
 	}
 }

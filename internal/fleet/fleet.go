@@ -1,7 +1,8 @@
 // Package fleet is the concurrent run engine behind the repo's sweeps:
 // it shards governed-run specs across a bounded worker pool and
-// streams typed results back, while guaranteeing that the numbers are
-// bit-identical to a serial execution.
+// returns typed results in spec order, while guaranteeing that the
+// numbers are bit-identical to a serial execution. Map, the ordered
+// pool underneath, serves any other index-parallel computation.
 //
 // The determinism contract has three legs:
 //
@@ -10,8 +11,8 @@
 //     input depends on scheduling;
 //   - fresh state per run: policies rebuild their predictor for every
 //     run, so no predictor state leaks between concurrent runs;
-//   - indexed delivery: results carry the spec's submission index, so
-//     aggregation orders by index, not by completion.
+//   - indexed delivery: each result is written into its spec's slot,
+//     so aggregation orders by index, not by completion.
 //
 // On top sit the operational concerns a long sweep needs: context
 // cancellation and per-run timeouts (through governor.RunContext), a
@@ -24,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,7 +69,7 @@ type Config struct {
 }
 
 // Engine executes spec sweeps. An Engine is safe for concurrent use;
-// its cache is shared across Run calls, so repeating a sweep is nearly
+// its cache is shared across RunAll calls, so repeating a sweep is nearly
 // free.
 type Engine struct {
 	cfg Config
@@ -108,69 +108,58 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// workers resolves the configured pool size.
-func (e *Engine) workers() int {
-	if e.cfg.Workers > 0 {
-		return e.cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Run shards the specs across the worker pool and streams one Result
-// per spec. The channel is buffered to len(specs), so workers never
-// block on delivery and always drain even if the caller abandons the
-// channel; it is closed after the last result. Sharding is static
-// (worker w takes specs w, w+n, w+2n, ...), which pins every spec's
-// executing worker independent of timing.
-func (e *Engine) Run(ctx context.Context, specs []Spec) <-chan Result {
+// RunAll runs the sweep to completion and returns results in spec
+// order, each written into its index by Map's statically sharded pool
+// (which pins every spec's executing worker independent of timing). The returned error is
+// ctx.Err() if the sweep was canceled, else the lowest-index run
+// failure, else nil; the full result slice is returned either way so
+// partial sweeps stay inspectable.
+func (e *Engine) RunAll(ctx context.Context, specs []Spec) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make(chan Result, len(specs))
-	resolved := make([]Spec, len(specs))
-	for i, sp := range specs {
-		resolved[i] = e.resolve(sp)
-	}
 	e.addPending(len(specs))
-
-	workers := e.workers()
-	if workers > len(specs) {
-		workers = len(specs)
+	out, _ := Map(e.cfg.Workers, len(specs), func(i int) (Result, error) {
+		r := e.runOne(ctx, i, e.resolve(specs[i]))
+		e.addPending(-1)
+		return r, nil
+	})
+	if err := ctx.Err(); err != nil {
+		return out, err
 	}
+	return out, FirstError(out)
+}
+
+// Map evaluates f(0), ..., f(n-1) on a pool of goroutines and returns
+// the results in index order. Sharding is static: worker w
+// takes indices w, w+W, w+2W, ... for W workers. workers < 1 selects
+// runtime.GOMAXPROCS(0). Every index runs even after a failure; the
+// returned error is the lowest-index one, and the result slice is
+// returned either way.
+func Map[R any](workers, n int, f func(i int) (R, error)) ([]R, error) {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	out := make([]R, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := w; i < len(resolved); i += workers {
-				out <- e.runOne(ctx, i, resolved[i])
-				e.addPending(-1)
+			for i := w; i < n; i += workers {
+				out[i], errs[i] = f(i)
 			}
-		}(w)
+		}()
 	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return out
-}
-
-// RunAll runs the sweep to completion and returns results in spec
-// order. The returned error is ctx.Err() if the sweep was canceled,
-// else the lowest-index run failure, else nil; the full result slice
-// is returned either way so partial sweeps stay inspectable.
-func (e *Engine) RunAll(ctx context.Context, specs []Spec) ([]Result, error) {
-	out := make([]Result, 0, len(specs))
-	for r := range e.Run(ctx, specs) {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return out, err
 		}
 	}
-	return out, FirstError(out)
+	return out, nil
 }
 
 // resolve fills a spec's derived fields so caching, seeding, and

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -271,34 +272,43 @@ func TestCancellationNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	// Runs must be long enough that the whole sweep cannot finish in
-	// the gap between the first result arriving and cancel() landing —
-	// at 400 intervals the zero-alloc hot path races through all 32
-	// specs first and no run is left to cancel. Canceled runs abort at
+	// the gap between the first run starting and cancel() landing — at
+	// 400 intervals the zero-alloc hot path races through all 32 specs
+	// first and no run is left to cancel. Canceled runs abort at
 	// interval granularity, so the long tail costs nothing.
 	specs := make([]Spec, 32)
 	for i := range specs {
 		specs[i] = Spec{Workload: "applu_in", Policy: "gpht_8_128", Intervals: 50000, Seed: int64(i + 1)}
 	}
-	e := New(Config{Workers: 8, DisableCache: true})
-	ch := e.Run(ctx, specs)
-	<-ch // let the sweep get going
-	cancel()
-	seen := 1
+	hub := telemetry.NewHub(6)
+	e := New(Config{Workers: 8, DisableCache: true, Telemetry: hub})
+	go func() {
+		for hub.FleetStarted.Value() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	results, err := e.RunAll(ctx, specs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunAll error = %v, want context.Canceled", err)
+	}
+	if len(results) != len(specs) {
+		t.Fatalf("%d results for %d specs", len(results), len(specs))
+	}
 	canceled := 0
-	for r := range ch {
-		seen++
+	for i, r := range results {
+		if r.Index != i {
+			t.Errorf("result %d carries index %d", i, r.Index)
+		}
 		if r.Status == StatusCanceled {
 			canceled++
 		}
 	}
-	if seen != len(specs) {
-		t.Fatalf("drained %d results for %d specs", seen, len(specs))
-	}
 	if canceled == 0 {
 		t.Error("cancellation mid-sweep produced no canceled runs")
 	}
-	// Workers must all exit; poll briefly since close happens after
-	// the last send.
+	// Workers must all exit; poll briefly for the runtime to reap
+	// them.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
@@ -313,21 +323,46 @@ func TestCancellationNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-func TestAbandonedChannelStillDrains(t *testing.T) {
-	// A caller that walks away after the first result must not wedge
-	// the workers: the channel is buffered to len(specs).
-	before := runtime.NumGoroutine()
-	e := New(Config{Workers: 4})
-	specs := sweepSpecs()[:4]
-	ch := e.Run(context.Background(), specs)
-	<-ch // read one result, abandon the rest
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("workers wedged on abandoned channel: %d goroutines before, %d now",
-				before, runtime.NumGoroutine())
+func TestMapPreservesOrder(t *testing.T) {
+	square := func(i int) (int, error) { return i * i, nil }
+	for _, workers := range []int{0, 1, 3, 16} {
+		got, err := Map(workers, 10, square)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		time.Sleep(20 * time.Millisecond)
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
+			}
+		}
+	}
+}
+
+func TestMapPropagatesError(t *testing.T) {
+	// Every index runs; the lowest-index error wins whatever order the
+	// workers finish in.
+	var ran atomic.Int64
+	got, err := Map(4, 8, func(i int) (int, error) {
+		ran.Add(1)
+		if i == 2 || i == 5 {
+			return 0, fmt.Errorf("fail %d", i)
+		}
+		return i, nil
+	})
+	if err == nil || err.Error() != "fail 2" {
+		t.Errorf("err = %v, want the index-2 failure", err)
+	}
+	if ran.Load() != 8 || len(got) != 8 || got[7] != 7 {
+		t.Errorf("ran %d of 8, results %v", ran.Load(), got)
+	}
+}
+
+func TestMapEmptyAndSingle(t *testing.T) {
+	if got, err := Map(4, 0, func(int) (int, error) { return 1, nil }); err != nil || len(got) != 0 {
+		t.Errorf("n=0: %v, %v", got, err)
+	}
+	if got, err := Map(4, 1, func(int) (string, error) { return "x", nil }); err != nil || len(got) != 1 || got[0] != "x" {
+		t.Errorf("n=1: %v, %v", got, err)
 	}
 }
 

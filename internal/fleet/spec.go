@@ -104,8 +104,7 @@ func (s Status) String() string {
 // Result is one spec's outcome. Res is shared with the engine's cache
 // when Status is StatusCached; treat it as read-only.
 type Result struct {
-	// Index is the spec's position in the submitted slice, so streamed
-	// results can be reordered deterministically.
+	// Index is the spec's position in the submitted slice.
 	Index int
 	// Spec is the resolved spec (defaults and derived seed filled in).
 	Spec Spec
@@ -132,8 +131,8 @@ func (r Result) OK() bool {
 }
 
 // FirstError returns the lowest-index failure in a result set, or nil
-// when every run succeeded. Deterministic regardless of the order the
-// results streamed in.
+// when every run succeeded. Deterministic regardless of the slice's
+// order.
 func FirstError(results []Result) error {
 	var first *Result
 	for i := range results {

@@ -236,11 +236,10 @@ func TestRunValidation(t *testing.T) {
 
 func TestPolicyNames(t *testing.T) {
 	cases := map[string]Policy{
-		"Baseline":        Unmanaged(),
-		"LastValue":       Reactive(),
-		"GPHT_8_128":      Proactive(8, 128),
-		"GPHT_8_128_hyst": ProactiveHysteresis(8, 128),
-		"Oracle":          Oracle(nil),
+		"Baseline":   Unmanaged(),
+		"LastValue":  Reactive(),
+		"GPHT_8_128": Proactive(8, 128),
+		"Oracle":     Oracle(nil),
 	}
 	for want, pol := range cases {
 		if pol.Name() != want {
@@ -300,5 +299,33 @@ func TestRunMeasuredAgreesWithAnalytic(t *testing.T) {
 	cfg := Config{Machine: machine.Config{Recorder: daq.NewWaveform()}}
 	if _, err := RunMeasured(gen(t, "applu_in", 5), Unmanaged(), cfg, daq.Config{}); err == nil {
 		t.Error("caller recorder accepted")
+	}
+}
+
+func TestComparativeMetrics(t *testing.T) {
+	// Baseline: 10 W for 10 s. Managed: 6 W for 11 s.
+	base := &Result{Run: machine.RunResult{EnergyJ: 100, TimeS: 10}}
+	managed := &Result{Run: machine.RunResult{EnergyJ: 66, TimeS: 11}}
+	if got, want := EDPImprovement(base, managed), 1-(66.0*11)/(100.0*10); math.Abs(got-want) > 1e-12 {
+		t.Errorf("EDPImprovement = %v, want %v", got, want)
+	}
+	if got, want := PerformanceDegradation(base, managed), 0.1; math.Abs(got-want) > 1e-12 {
+		t.Errorf("PerformanceDegradation = %v, want %v", got, want)
+	}
+	if got, want := PowerSavings(base, managed), 1-6.0/10.0; math.Abs(got-want) > 1e-12 {
+		t.Errorf("PowerSavings = %v, want %v", got, want)
+	}
+	if got, want := EnergySavings(base, managed), 1-66.0/100.0; math.Abs(got-want) > 1e-12 {
+		t.Errorf("EnergySavings = %v, want %v", got, want)
+	}
+	// Empty baselines (and a managed run of zero length, for average
+	// power) degrade to zero rather than dividing by zero.
+	empty := &Result{}
+	if EDPImprovement(empty, managed) != 0 ||
+		PerformanceDegradation(empty, managed) != 0 ||
+		PowerSavings(empty, managed) != 0 ||
+		PowerSavings(base, empty) != 0 ||
+		EnergySavings(empty, managed) != 0 {
+		t.Error("empty baseline should yield zero metrics")
 	}
 }

@@ -13,7 +13,6 @@
 package kernelsim
 
 import (
-	"errors"
 	"fmt"
 
 	"phasemon/internal/core"
@@ -129,9 +128,6 @@ type Module struct {
 
 	budgetViolations int
 }
-
-// ErrNotLoaded reports use of an unloaded module.
-var ErrNotLoaded = errors.New("kernelsim: module not loaded")
 
 // NewModule validates the configuration and returns an unloaded module.
 func NewModule(cfg Config) (*Module, error) {

@@ -25,16 +25,19 @@
 //   - deadline: conn Read/Write in the serving packages must be
 //     dominated by the matching SetRead/SetWriteDeadline in the same
 //     function or all of its callers.
+//   - deadexport: an exported package-level identifier under internal/
+//     must be referenced from another package (tests and nested
+//     modules count) or by its own package's non-test code.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is built purely on the standard
 // library so the module stays dependency-free; porting an analyzer to
 // the upstream framework is a mechanical change of import paths.
 //
-// Escape hatches are line-scoped comment directives — //lint:<name>
-// (e.g. //lint:wallclock, //lint:floateq, //lint:guarded; commas
-// combine several) suppresses the corresponding finding on its own
-// line or the line below. //lint:hotpath is not an escape hatch: it
+// Escape hatches (deadexport has none) are line-scoped comment
+// directives — //lint:<name> (e.g. //lint:wallclock, //lint:floateq,
+// //lint:guarded; commas combine several) suppresses the corresponding
+// finding on its own line or the line below. //lint:hotpath is not an escape hatch: it
 // marks a hotalloc root. The suppression policy per package is part
 // of the repo gate: internal/agg, internal/wire, and internal/phased
 // admit no guarded/hotalloc/deadline suppressions at all (see

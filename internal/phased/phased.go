@@ -542,25 +542,9 @@ func (s *Server) handleHello(sc *serverConn, payload []byte) bool {
 	if h.Flags&wire.FlagRollup != 0 {
 		return s.handleRollupHello(sc, &h)
 	}
-	spec := string(h.Spec)
-	spec = strings.TrimPrefix(spec, governor.MonitorPrefix)
-	pred, err := core.NewPredictorFromSpec(spec, core.SpecEnv{Classifier: s.cfg.Classifier})
-	if err != nil {
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadSpec,
-			SessionID: h.SessionID, Msg: []byte(err.Error())})
+	mon := s.newMonitor(sc, h.SessionID, h.Spec)
+	if mon == nil {
 		return true // spec rejection is recoverable; the conn survives
-	}
-	var opts []core.Option
-	if tel := s.cfg.Telemetry; tel != nil {
-		opts = append(opts, core.WithTelemetry(tel))
-	}
-	mon, err := core.NewMonitor(s.cfg.Classifier, pred, opts...)
-	if err != nil {
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadSpec,
-			SessionID: h.SessionID, Msg: []byte(err.Error())})
-		return true
 	}
 	sess := &session{
 		id:           h.SessionID,
@@ -579,6 +563,31 @@ func (s *Server) handleHello(sc *serverConn, payload []byte) bool {
 		sc.enableBatch()
 	}
 	return s.registerAndAck(sc, sess, ackFlags)
+}
+
+// newMonitor builds a session's monitor from its negotiated spec, for
+// the Hello and Restore paths alike. A spec the registry or the monitor
+// rejects is answered with CodeBadSpec and yields nil; the connection
+// survives.
+func (s *Server) newMonitor(sc *serverConn, id uint64, spec []byte) *core.Monitor {
+	pred, err := core.NewPredictorFromSpec(
+		strings.TrimPrefix(string(spec), governor.MonitorPrefix),
+		core.SpecEnv{Classifier: s.cfg.Classifier})
+	var mon *core.Monitor
+	if err == nil {
+		var opts []core.Option
+		if tel := s.cfg.Telemetry; tel != nil {
+			opts = append(opts, core.WithTelemetry(tel))
+		}
+		mon, err = core.NewMonitor(s.cfg.Classifier, pred, opts...)
+	}
+	if err != nil {
+		s.protoErrs.Inc()
+		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadSpec,
+			SessionID: id, Msg: []byte(err.Error())})
+		return nil
+	}
+	return mon
 }
 
 // registerAndAck inserts a negotiated session into the server tables —
@@ -643,24 +652,8 @@ func (s *Server) handleRestore(sc *serverConn, payload []byte) bool {
 		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadFrame, Msg: []byte(err.Error())})
 		return false
 	}
-	spec := string(r.Spec)
-	spec = strings.TrimPrefix(spec, governor.MonitorPrefix)
-	pred, err := core.NewPredictorFromSpec(spec, core.SpecEnv{Classifier: s.cfg.Classifier})
-	if err != nil {
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadSpec,
-			SessionID: r.SessionID, Msg: []byte(err.Error())})
-		return true
-	}
-	var opts []core.Option
-	if tel := s.cfg.Telemetry; tel != nil {
-		opts = append(opts, core.WithTelemetry(tel))
-	}
-	mon, err := core.NewMonitor(s.cfg.Classifier, pred, opts...)
-	if err != nil {
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadSpec,
-			SessionID: r.SessionID, Msg: []byte(err.Error())})
+	mon := s.newMonitor(sc, r.SessionID, r.Spec)
+	if mon == nil {
 		return true
 	}
 	if err := mon.Restore(r.State); err != nil {
@@ -816,17 +809,26 @@ func (s *Server) handleClientDrain(sc *serverConn, payload []byte) bool {
 // unregisterSession removes a flushed session from the server tables.
 func (s *Server) unregisterSession(sess *session) {
 	s.mu.Lock()
-	if s.sessions[sess.id] == sess {
-		delete(s.sessions, sess.id)
-		if n := s.perIP[sess.conn.ipKey()] - 1; n > 0 {
-			s.perIP[sess.conn.ipKey()] = n
-		} else {
-			delete(s.perIP, sess.conn.ipKey())
-		}
-		s.sessionsGauge.Set(float64(len(s.sessions)))
-	}
+	s.releaseSessionLocked(sess)
 	s.mu.Unlock()
 	sess.conn.removeSession(sess)
+}
+
+// releaseSessionLocked removes sess from the session table, if it is
+// still the one registered under its id, and returns its per-IP slot.
+// s.mu must be held.
+func (s *Server) releaseSessionLocked(sess *session) {
+	if s.sessions[sess.id] != sess {
+		return
+	}
+	delete(s.sessions, sess.id)
+	key := sess.conn.ipKey()
+	if n := s.perIP[key] - 1; n > 0 {
+		s.perIP[key] = n
+	} else {
+		delete(s.perIP, key)
+	}
+	s.sessionsGauge.Set(float64(len(s.sessions)))
 }
 
 // dropConn tears a connection down along with every session it owns.
@@ -844,15 +846,7 @@ func (s *Server) dropConn(sc *serverConn) {
 		sess.state = StateClosed
 		w.mu.Unlock()
 		s.mu.Lock()
-		if s.sessions[sess.id] == sess {
-			delete(s.sessions, sess.id)
-			if n := s.perIP[sc.ipKey()] - 1; n > 0 {
-				s.perIP[sc.ipKey()] = n
-			} else {
-				delete(s.perIP, sc.ipKey())
-			}
-			s.sessionsGauge.Set(float64(len(s.sessions)))
-		}
+		s.releaseSessionLocked(sess)
 		s.mu.Unlock()
 	}
 }

@@ -362,8 +362,8 @@ func TestShortReadCountsProtocolError(t *testing.T) {
 }
 
 // TestUnknownSessionAndBadSpecSurvivable: addressing a session that
-// does not exist, or negotiating an unknown predictor spec, draws an
-// Error frame but keeps the connection usable.
+// does not exist, or negotiating (or restoring) an unknown predictor
+// spec, draws an Error frame but keeps the connection usable.
 func TestUnknownSessionAndBadSpecSurvivable(t *testing.T) {
 	_, addr, _ := startServer(t, Config{})
 	c := dialRaw(t, addr)
@@ -378,6 +378,16 @@ func TestUnknownSessionAndBadSpecSurvivable(t *testing.T) {
 
 	// A spec the registry rejects.
 	buf = appendHello(t, buf[:0], &wire.Hello{SessionID: 1, Spec: []byte("no_such_predictor")})
+	if _, err := c.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	expectError(t, dec, wire.CodeBadSpec)
+
+	// The same spec check guards a Restore.
+	buf, err := wire.AppendRestore(buf[:0], &wire.Restore{SessionID: 1, Spec: []byte("no_such_predictor")})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := c.Write(buf); err != nil {
 		t.Fatal(err)
 	}

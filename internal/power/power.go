@@ -231,44 +231,3 @@ func (a *Accumulator) EDP() float64 { return a.energyJ * a.timeS }
 
 // Reset clears the accumulator.
 func (a *Accumulator) Reset() { *a = Accumulator{} }
-
-// EDPImprovement returns the fractional EDP improvement of a managed
-// run over a baseline run: 1 − EDP_managed/EDP_baseline. Positive is
-// better; it matches the paper's "EDP improvement" percentages.
-func EDPImprovement(baseline, managed *Accumulator) float64 {
-	b := baseline.EDP()
-	if b <= 0 {
-		return 0
-	}
-	return 1 - managed.EDP()/b
-}
-
-// PerformanceDegradation returns the fractional slowdown of a managed
-// run over a baseline run: T_managed/T_baseline − 1.
-func PerformanceDegradation(baseline, managed *Accumulator) float64 {
-	b := baseline.TimeS()
-	if b <= 0 {
-		return 0
-	}
-	return managed.TimeS()/b - 1
-}
-
-// PowerSavings returns the fractional average-power reduction of a
-// managed run relative to a baseline run.
-func PowerSavings(baseline, managed *Accumulator) float64 {
-	b := baseline.AvgPowerW()
-	if b <= 0 {
-		return 0
-	}
-	return 1 - managed.AvgPowerW()/b
-}
-
-// EnergySavings returns the fractional energy reduction of a managed
-// run relative to a baseline run.
-func EnergySavings(baseline, managed *Accumulator) float64 {
-	b := baseline.EnergyJ()
-	if b <= 0 {
-		return 0
-	}
-	return 1 - managed.EnergyJ()/b
-}

@@ -172,37 +172,6 @@ func TestAccumulatorRejectsBadSamples(t *testing.T) {
 	}
 }
 
-func TestComparativeMetrics(t *testing.T) {
-	var base, managed Accumulator
-	// Baseline: 10 W for 10 s. Managed: 6 W for 11 s.
-	if err := base.Add(100, 10, 1e10); err != nil {
-		t.Fatal(err)
-	}
-	if err := managed.Add(66, 11, 1e10); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := EDPImprovement(&base, &managed), 1-(66.0*11)/(100.0*10); math.Abs(got-want) > 1e-12 {
-		t.Errorf("EDPImprovement = %v, want %v", got, want)
-	}
-	if got, want := PerformanceDegradation(&base, &managed), 0.1; math.Abs(got-want) > 1e-12 {
-		t.Errorf("PerformanceDegradation = %v, want %v", got, want)
-	}
-	if got, want := PowerSavings(&base, &managed), 1-6.0/10.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("PowerSavings = %v, want %v", got, want)
-	}
-	if got, want := EnergySavings(&base, &managed), 1-66.0/100.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("EnergySavings = %v, want %v", got, want)
-	}
-	// Empty baselines degrade to zero rather than dividing by zero.
-	var empty Accumulator
-	if EDPImprovement(&empty, &managed) != 0 ||
-		PerformanceDegradation(&empty, &managed) != 0 ||
-		PowerSavings(&empty, &managed) != 0 ||
-		EnergySavings(&empty, &managed) != 0 {
-		t.Error("empty baseline should yield zero metrics")
-	}
-}
-
 func TestDVFSEnergyOrdering(t *testing.T) {
 	// Running the same wall-clock duration at a lower operating point
 	// always costs less energy — the premise of DVFS.

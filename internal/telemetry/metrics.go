@@ -92,16 +92,6 @@ func NewHistogram(bounds []float64) (*Histogram, error) {
 	return &Histogram{bounds: cp, counts: make([]atomic.Uint64, len(cp)+1)}, nil
 }
 
-// MustNewHistogram is NewHistogram that panics on invalid bounds; for
-// package-level defaults.
-func MustNewHistogram(bounds []float64) *Histogram {
-	h, err := NewHistogram(bounds)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
 // Observe records one sample. A sample lands in the first bucket whose
 // upper bound is >= v (Prometheus "le" semantics); values above every
 // bound land in the +Inf bucket.

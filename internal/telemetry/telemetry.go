@@ -84,19 +84,10 @@ const PhasedPrefix = "phasemon_phased_"
 // PhasedPrefix.
 const AggPrefix = "phasemon_agg_"
 
-// Clock is an injectable time source. Hubs stamp journal events with
-// it, and the agg package buckets rollups by it; tests inject a fixed
-// or stepped clock to make both deterministic.
+// Clock is an injectable time source. The agg package buckets rollups
+// by it; tests inject a fixed or stepped clock to make bucketing
+// deterministic. Hubs stamp journal events with the wall clock.
 type Clock func() time.Time
-
-// HubOption configures a Hub at construction.
-type HubOption func(*Hub)
-
-// WithClock sets the hub's time source. A nil clock (the default)
-// selects the wall clock.
-func WithClock(c Clock) HubOption {
-	return func(h *Hub) { h.clock = c }
-}
 
 // DefaultMemPerUopBounds are the Mem/Uop histogram bucket bounds — the
 // paper's Table 1 phase boundaries, so each bucket is one phase.
@@ -207,15 +198,12 @@ type Hub struct {
 	// stats.Confusion and reuse that type's export paths.
 	numPhases int //lint:immutable set once in NewHub, read-only afterwards
 	conf      []atomic.Uint64
-
-	// clock is the hub's time source; nil means the wall clock.
-	clock Clock //lint:immutable set once in NewHub, read-only afterwards
 }
 
 // NewHub builds a hub for a classifier with numPhases phases (values
 // below 1 select the paper's 6) with freshly registered instruments
 // and a DefaultJournalCapacity journal.
-func NewHub(numPhases int, opts ...HubOption) *Hub {
+func NewHub(numPhases int) *Hub {
 	if numPhases < 1 {
 		numPhases = 6
 	}
@@ -266,31 +254,17 @@ func NewHub(numPhases int, opts ...HubOption) *Hub {
 	h.PhasedFlushSeconds, _ = reg.Histogram(MetricPhasedFlushSeconds, DefaultFlushBounds)
 	h.numPhases = numPhases
 	h.conf = make([]atomic.Uint64, (numPhases+1)*(numPhases+1))
-	for _, opt := range opts {
-		opt(h)
-	}
 	return h
 }
 
-// Now reads the hub's clock: the injected Clock when one was set, the
-// wall clock otherwise (including on a nil hub).
-func (h *Hub) Now() time.Time {
-	if h != nil && h.clock != nil {
-		return h.clock()
-	}
-	return time.Now()
-}
+// Now reads the hub's clock, the wall clock (also on a nil hub).
+func (h *Hub) Now() time.Time { return time.Now() }
 
 // Clock returns the hub's time source as a Clock, for components (the
 // agg pipeline) that bucket by the same time base the hub stamps
-// events with. Never nil; on a nil hub or unset clock it reads the
-// wall clock.
-func (h *Hub) Clock() Clock {
-	if h != nil && h.clock != nil {
-		return h.clock
-	}
-	return time.Now
-}
+// events with. It is the wall clock; components that need a
+// deterministic time base take their own Clock (agg.Config.Clock).
+func (h *Hub) Clock() Clock { return time.Now }
 
 // confCell maps a phase ID onto a matrix index, clamping
 // None/out-of-range IDs to 0 exactly as stats.Confusion does.

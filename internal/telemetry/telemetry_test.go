@@ -66,7 +66,7 @@ func TestCounterAndGauge(t *testing.T) {
 }
 
 func TestHistogramBucketing(t *testing.T) {
-	h := MustNewHistogram([]float64{1, 2, 5})
+	h := mustNewHistogram([]float64{1, 2, 5})
 	for _, v := range []float64{0.5, 1, 1.5, 2, 4, 100, math.Inf(1)} {
 		h.Observe(v)
 	}

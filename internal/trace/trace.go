@@ -55,9 +55,6 @@ type Log struct {
 	records []Record
 }
 
-// NewLog returns an empty log.
-func NewLog() *Log { return &Log{} }
-
 // NewLogWithCap returns an empty log whose backing array holds n
 // records without growing — the grow-once path for builders that know
 // the record count up front (ToTrace, CSV import, waveform reduction).

@@ -10,7 +10,7 @@ import (
 )
 
 func sampleLog() *Log {
-	l := NewLog()
+	l := &Log{}
 	l.Append(Record{
 		Index: 0, StartS: 0, DurS: 0.1, Uops: 100e6, Instructions: 90e6,
 		MemTransactions: 1e6, Cycles: 1.5e8, MemPerUop: 0.01, UPC: 0.67,
@@ -113,7 +113,7 @@ func TestReadCSVErrors(t *testing.T) {
 
 func TestEmptyLogWritesHeaderOnly(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewLog().WriteCSV(&buf); err != nil {
+	if err := (&Log{}).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
