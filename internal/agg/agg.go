@@ -253,11 +253,60 @@ func (a *Aggregator) Ingest(shard int, sessionID uint64, class phase.Class, sett
 //lint:hotpath
 func (a *Aggregator) IngestAt(shardIdx int, nowNs int64, sessionID uint64, class phase.Class, setting dvfs.Setting, outcome Outcome, latNs int64) {
 	a.ingested.Inc()
+	sh := &a.shards[shardIdx]
+	sh.mu.Lock()
+	b := sh.bucketLocked(a, nowNs)
+	if b == nil {
+		sh.mu.Unlock()
+		a.lateSamples.Inc()
+		return
+	}
+	b.accumulate(a, sessionID, class, setting, outcome, latNs)
+	sh.mu.Unlock()
+}
+
+// Entry is one sample outcome of a batch ingest: the grid cell it
+// counts in and what the serving path did with it.
+type Entry struct {
+	Class   phase.Class
+	Setting dvfs.Setting
+	Outcome Outcome
+}
+
+// IngestBatchAt is IngestAt for a batch of one session's outcomes that
+// share an instant and a per-sample latency: the rollup it leaves is
+// identical to calling IngestAt once per entry in order, for one shard
+// lock acquisition. A phased worker ingests each session batch it
+// serves this way.
+//
+//lint:hotpath
+func (a *Aggregator) IngestBatchAt(shardIdx int, nowNs int64, sessionID uint64, entries []Entry, latNs int64) {
+	if len(entries) == 0 {
+		return
+	}
+	a.ingested.Add(uint64(len(entries)))
+	sh := &a.shards[shardIdx]
+	sh.mu.Lock()
+	b := sh.bucketLocked(a, nowNs)
+	if b == nil {
+		sh.mu.Unlock()
+		a.lateSamples.Add(uint64(len(entries)))
+		return
+	}
+	for i := range entries {
+		e := &entries[i]
+		b.accumulate(a, sessionID, e.Class, e.Setting, e.Outcome, latNs)
+	}
+	sh.mu.Unlock()
+}
+
+// bucketLocked returns the shard's bucket covering nowNs, opening or
+// reclaiming its ring slot as needed, or nil when the instant predates
+// the window the slot has moved on to (the sample is late). Callers
+// hold sh.mu.
+func (sh *shard) bucketLocked(a *Aggregator, nowNs int64) *bucket {
 	startNs := nowNs - floorMod(nowNs, a.bucketLenNs)
 	slot := int(floorMod(floorDiv(startNs, a.bucketLenNs), int64(a.numBuckets)))
-	sh := &a.shards[shardIdx]
-
-	sh.mu.Lock()
 	b := &sh.buckets[slot]
 	if !b.used {
 		b.reset(startNs)
@@ -266,15 +315,19 @@ func (a *Aggregator) IngestAt(shardIdx int, nowNs int64, sessionID uint64, class
 		if startNs < b.startNs {
 			// The sample predates the window this slot has moved on to:
 			// its bucket is gone.
-			sh.mu.Unlock()
-			a.lateSamples.Inc()
-			return
+			return nil
 		}
 		// The slot still holds an unflushed older window: ingest has
 		// lapped the flusher. Reclaim the slot, counting the loss.
 		b.reset(startNs)
 		a.bucketsDropped.Inc()
 	}
+	return b
+}
+
+// accumulate counts one sample outcome into the bucket; the single
+// and batch ingest forms share it.
+func (b *bucket) accumulate(a *Aggregator, sessionID uint64, class phase.Class, setting dvfs.Setting, outcome Outcome, latNs int64) {
 	switch outcome {
 	case OutcomeUnscored:
 		b.starts++
@@ -300,7 +353,6 @@ func (a *Aggregator) IngestAt(shardIdx int, nowNs int64, sessionID uint64, class
 		// was not served.
 		b.shed++
 	}
-	sh.mu.Unlock()
 }
 
 // observeLatency adds one served sample's latency to the bucket's

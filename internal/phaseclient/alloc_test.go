@@ -24,8 +24,8 @@ func (r *replayReader) Read(p []byte) (int, error) {
 
 // TestDemuxZeroAlloc proves the client's frame demux — stream decode,
 // payload parse, route to the session's channel — allocates nothing in
-// steady state, for both the per-sample Prediction path and the
-// per-bucket Rollup path. The decoder's frame buffer and the session
+// steady state, for the per-sample Prediction path, the per-bucket
+// Rollup path, and a prediction batch holding one session's run. The decoder's frame buffer and the session
 // channels are the only storage, and both are reused across frames.
 func TestDemuxZeroAlloc(t *testing.T) {
 	c := New(Config{Addr: "127.0.0.1:0", Window: 1})
@@ -33,7 +33,7 @@ func TestDemuxZeroAlloc(t *testing.T) {
 		c:     c,
 		id:    7,
 		acks:  make(chan wire.Ack, 1),
-		preds: make(chan wire.Prediction, 1),
+		preds: make(chan wire.Prediction, 3),
 		drain: make(chan wire.Drain, 1),
 		errs:  make(chan error, 1),
 		done:  make(chan struct{}),
@@ -48,10 +48,14 @@ func TestDemuxZeroAlloc(t *testing.T) {
 	r := wire.Rollup{NodeID: 42, Shard: 1, BucketStart: 1e9, BucketLenNs: 1e9}
 	frames := wire.AppendPrediction(nil, &p)
 	frames = wire.AppendRollup(frames, &r)
+	frames, err := wire.AppendBatchPredictions(frames, []wire.Prediction{p, p})
+	if err != nil {
+		t.Fatal(err)
+	}
 	dec := wire.NewDecoder(&replayReader{frames: frames})
 
 	step := func() {
-		for i := 0; i < 2; i++ {
+		for i := 0; i < 3; i++ {
 			kind, payload, err := dec.Next()
 			if err != nil {
 				t.Fatal(err)
@@ -60,7 +64,9 @@ func TestDemuxZeroAlloc(t *testing.T) {
 				t.Fatalf("demux treated %v as fatal", kind)
 			}
 		}
-		<-s.preds
+		for i := 0; i < 3; i++ {
+			<-s.preds
+		}
 		<-rollups
 	}
 	// Warm the decoder's reusable frame buffer (rollups are larger than

@@ -600,12 +600,21 @@ func (c *Client) demux(conn net.Conn, kind wire.FrameKind, payload []byte) bool 
 			c.mu.Unlock()
 			return false
 		}
+		// The server writes each session's predictions as a contiguous
+		// run, so the session is resolved once per run of equal ids.
+		var (
+			s     *Session
+			runID uint64
+		)
 		for i := 0; i < n; i++ {
 			var p wire.Prediction
 			if wire.DecodePrediction(recs[i*wire.PredictionRecordSize:(i+1)*wire.PredictionRecordSize], &p) != nil {
 				continue
 			}
-			if s := c.lookup(p.SessionID); s != nil {
+			if i == 0 || p.SessionID != runID {
+				s, runID = c.lookup(p.SessionID), p.SessionID
+			}
+			if s != nil {
 				select {
 				case s.preds <- p:
 				case <-s.done:

@@ -208,12 +208,19 @@ func TestCoalescerFlushZeroAlloc(t *testing.T) {
 	sc := &serverConn{srv: srv, c: discardConn{}}
 	sc.enableBatch()
 
-	p := wire.Prediction{SessionID: 9, Seq: 1, Actual: 2, Next: 3, Class: 1, Setting: 4}
+	ps := make([]wire.Prediction, 3)
+	for i := range ps {
+		ps[i] = wire.Prediction{SessionID: 9, Seq: 1, Actual: 2, Next: 3, Class: 1, Setting: 4}
+	}
 	fill := func() {
+		// Three-prediction writes against an eight-prediction threshold
+		// also split writes across flush boundaries.
 		for i := 0; i < srv.flushThreshold; i++ {
-			p.Seq++
-			if err := sc.writePrediction(&p); err != nil {
-				t.Fatalf("writePrediction: %v", err)
+			for j := range ps {
+				ps[j].Seq++
+			}
+			if _, err := sc.writePredictions(ps); err != nil {
+				t.Fatalf("writePredictions: %v", err)
 			}
 		}
 	}
@@ -231,16 +238,25 @@ func TestCoalescerFlushZeroAlloc(t *testing.T) {
 // Samples stream open-loop; the benchmark ends when the final sequence
 // number is answered (drop-oldest guarantees it is). The samples/s and
 // samples/s/core metrics are the bench-json suite's regression gauge.
+// batched_telemetry serves with a telemetry.Hub attached, as
+// cmd/phased runs, so the cost of the server's and the session
+// monitors' instruments shows.
 func BenchmarkSamplesPerSecPerCore(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
 		batch int
+		hub   bool
 	}{
-		{"perframe", 0},
-		{"batched", wire.MaxBatchSamples},
+		{"perframe", 0, false},
+		{"batched", wire.MaxBatchSamples, false},
+		{"batched_telemetry", wire.MaxBatchSamples, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			srv, err := New(Config{Workers: 4, QueueDepth: 1 << 15})
+			cfg := Config{Workers: 4, QueueDepth: 1 << 15}
+			if bc.hub {
+				cfg.Telemetry = telemetry.NewHub(6)
+			}
+			srv, err := New(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

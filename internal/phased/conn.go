@@ -17,10 +17,12 @@ import (
 // On a connection that negotiated FlagBatch, predictions are not
 // written one frame at a time: they accumulate in preds and flush as
 // one KindBatch frame when the batch reaches the server's size
-// threshold, when the FlushInterval timer expires, or when a control
-// frame (Ack, Drain, Snapshot, Error, Rollup) needs the wire — the
-// control write first flushes the pending batch in the same writev,
-// so frame order on the wire matches write order. TCP_NODELAY is set
+// threshold, when a worker that buffered into it runs out of work
+// (the idle flush), when the FlushInterval timer expires (the
+// backstop for workers that never go idle), or when a control frame
+// (Ack, Drain, Snapshot, Error, Rollup) needs the wire — the control
+// write first flushes the pending batch in the same writev, so frame
+// order on the wire matches write order. TCP_NODELAY is set
 // on every accepted connection: the coalescer replaces Nagle's
 // algorithm with an explicit, bounded latency budget instead of
 // stacking the kernel's delay on top of ours.
@@ -46,6 +48,19 @@ type serverConn struct {
 
 	smu      sync.Mutex
 	sessions []*session // guarded by smu
+
+	// idleMarks[i] records that worker i has the connection on its
+	// idle-flush list; element i is read and written only by worker
+	// i's run goroutine. Sized to the pool when the connection is
+	// accepted.
+	idleMarks []bool
+
+	// Reader-goroutine scratch for one inbound batch, reused across
+	// frames: the decoded samples, their resolved sessions, and each
+	// record's worker index (-1 once enqueued or rejected).
+	rsmp  []wire.Sample // owned by the reader goroutine
+	rsess []*session    // owned by the reader goroutine
+	rwork []int         // owned by the reader goroutine
 
 	closeOnce sync.Once
 }
@@ -191,30 +206,65 @@ func (sc *serverConn) writeAck(a *wire.Ack) error {
 	return sc.flushLocked()
 }
 
-// writePrediction is the worker pool's reply path. Unbatched
-// connections get the v1 behavior: one frame, one write. Batched
-// connections buffer the prediction and flush on the size threshold;
-// the latency bound is the flush timer armed when the batch opens.
+// writePredictions is the worker pool's reply path: one session
+// batch's predictions under one wmu hold. Unbatched connections get
+// the v1 bytes, one Prediction frame per prediction, sharing one
+// write. Batched connections buffer the predictions, flushing each
+// time the pending batch reaches the size threshold; the timer armed
+// when a batch opens bounds its latency. pending reports whether
+// predictions are left buffered, so the caller can flush them when it
+// runs out of work.
 //
 //lint:hotpath
-func (sc *serverConn) writePrediction(p *wire.Prediction) error {
+func (sc *serverConn) writePredictions(ps []wire.Prediction) (pending bool, err error) {
+	if len(ps) == 0 {
+		return false, nil
+	}
 	sc.wmu.Lock()
 	defer sc.wmu.Unlock()
 	if !sc.batched {
-		sc.wbuf = wire.AppendPrediction(sc.wbuf[:0], p)
-		return sc.flushLocked()
+		sc.wbuf = sc.wbuf[:0]
+		for i := range ps {
+			sc.wbuf = wire.AppendPrediction(sc.wbuf, &ps[i])
+		}
+		if err := sc.flushLocked(); err != nil {
+			return false, err
+		}
+		// flushLocked counts the control buffer as one frame.
+		sc.srv.framesOut.Add(uint64(len(ps) - 1))
+		return false, nil
 	}
-	sc.preds = append(sc.preds, *p)
-	if len(sc.preds) == 1 {
-		sc.firstPendNs = time.Now().UnixNano()
-		if iv := sc.srv.cfg.FlushInterval; iv > 0 {
-			sc.flushTimer.Reset(iv)
+	for len(ps) > 0 {
+		if len(sc.preds) == 0 {
+			sc.firstPendNs = time.Now().UnixNano()
+			if iv := sc.srv.cfg.FlushInterval; iv > 0 {
+				sc.flushTimer.Reset(iv)
+			}
+		}
+		k := min(len(ps), sc.srv.flushThreshold-len(sc.preds))
+		sc.preds = append(sc.preds, ps[:k]...)
+		ps = ps[k:]
+		if len(sc.preds) >= sc.srv.flushThreshold || sc.srv.cfg.FlushInterval < 0 {
+			if err := sc.flushLocked(); err != nil {
+				return false, err
+			}
 		}
 	}
-	if len(sc.preds) >= sc.srv.flushThreshold || sc.srv.cfg.FlushInterval < 0 {
-		return sc.flushLocked()
+	return len(sc.preds) > 0, nil
+}
+
+// flushPending writes out the pending reply batch, if any: the idle
+// flush of a worker that buffered predictions here and has run out of
+// work.
+//
+//lint:hotpath
+func (sc *serverConn) flushPending() error {
+	sc.wmu.Lock()
+	defer sc.wmu.Unlock()
+	if len(sc.preds) == 0 {
+		return nil
 	}
-	return nil
+	return sc.flushLocked()
 }
 
 func (sc *serverConn) writeDrain(d *wire.Drain) error {

@@ -71,10 +71,12 @@ type Config struct {
 	WriteTimeout time.Duration
 	// FlushInterval bounds how long a batching connection's write
 	// coalescer may hold a buffered prediction before flushing — the
-	// reply-latency budget batching trades throughput against. Zero
-	// selects 500µs; negative disables coalescing-by-time entirely
-	// (every prediction flushes immediately, still batch-framed).
-	// Connections that never negotiate wire.FlagBatch are unaffected.
+	// reply-latency budget batching trades throughput against, and the
+	// backstop behind the idle flush a worker does whenever it runs
+	// out of work. Zero selects 500µs; negative disables coalescing
+	// entirely (each worker write flushes immediately, still
+	// batch-framed). Connections that never negotiate wire.FlagBatch
+	// are unaffected.
 	FlushInterval time.Duration
 	// FlushBytes is the coalescer's size threshold: a pending reply
 	// batch whose encoded size reaches it flushes without waiting for
@@ -138,6 +140,11 @@ type Server struct {
 	cfg   Config
 	trans *dvfs.Translation
 	clock telemetry.Clock
+	// monTel is the session monitors' view of cfg.Telemetry: every
+	// instrument, no journal (Hub.WithoutJournal). Served sessions'
+	// outcomes live in the rollups; per-sample journal events would
+	// churn the node's journal and cost a clock read each.
+	monTel *telemetry.Hub
 	// flushThreshold is FlushBytes expressed in predictions per batch,
 	// clamped to one frame; precomputed so the coalescer's hot path is
 	// a single integer compare.
@@ -194,6 +201,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		trans:      trans,
 		clock:      cfg.Telemetry.Clock(),
+		monTel:     cfg.Telemetry.WithoutJournal(),
 		conns:      make(map[*serverConn]struct{}),
 		sessions:   make(map[uint64]*session),
 		perIP:      make(map[string]int),
@@ -277,7 +285,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		if tc, ok := c.(*net.TCPConn); ok {
 			_ = tc.SetNoDelay(true)
 		}
-		sc := &serverConn{srv: s, c: c}
+		sc := &serverConn{srv: s, c: c, idleMarks: make([]bool, len(s.workers))}
 		s.mu.Lock()
 		if s.draining || s.closed {
 			s.mu.Unlock()
@@ -576,8 +584,8 @@ func (s *Server) newMonitor(sc *serverConn, id uint64, spec []byte) *core.Monito
 	var mon *core.Monitor
 	if err == nil {
 		var opts []core.Option
-		if tel := s.cfg.Telemetry; tel != nil {
-			opts = append(opts, core.WithTelemetry(tel))
+		if s.monTel != nil {
+			opts = append(opts, core.WithTelemetry(s.monTel))
 		}
 		mon, err = core.NewMonitor(s.cfg.Classifier, pred, opts...)
 	}
@@ -710,21 +718,21 @@ func (s *Server) handleRollupHello(sc *serverConn, h *wire.Hello) bool {
 		Flags:     wire.FlagRollup}) == nil
 }
 
-// handleSample queues one sample on its session's pinned worker.
+// handleSample queues one per-frame sample on its session's pinned
+// worker: a batch of one through the batch path's enqueue.
 func (s *Server) handleSample(sc *serverConn, payload []byte) bool {
-	var smp wire.Sample
-	if err := wire.DecodeSample(payload, &smp); err != nil {
+	sc.rsmp = append(sc.rsmp[:0], wire.Sample{})
+	if err := wire.DecodeSample(payload, &sc.rsmp[0]); err != nil {
 		s.protoErrs.Inc()
 		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadFrame, Msg: []byte(err.Error())})
 		return false
 	}
-	return s.queueSample(sc, &smp)
+	return s.queueSamples(sc)
 }
 
-// handleBatch unpacks a client sample batch straight into the worker
-// queues — each record takes the same path a per-frame Sample would,
-// so batched and unbatched clients are indistinguishable past this
-// point. A prediction batch arriving here is a confused peer
+// handleBatch unpacks a client sample batch and queues it at batch
+// granularity — so batched and unbatched clients are indistinguishable
+// past this point. A prediction batch arriving here is a confused peer
 // (predictions only flow server→client) and is connection-fatal.
 func (s *Server) handleBatch(sc *serverConn, payload []byte) bool {
 	elem, n, recs, err := wire.DecodeBatch(payload)
@@ -739,50 +747,96 @@ func (s *Server) handleBatch(sc *serverConn, payload []byte) bool {
 			Msg: []byte("unexpected " + elem.String() + " batch")})
 		return false
 	}
+	sc.rsmp = sc.rsmp[:0]
 	for i := 0; i < n; i++ {
-		var smp wire.Sample
-		if err := wire.DecodeSample(recs[i*wire.SampleRecordSize:(i+1)*wire.SampleRecordSize], &smp); err != nil {
+		sc.rsmp = append(sc.rsmp, wire.Sample{})
+		if err := wire.DecodeSample(recs[i*wire.SampleRecordSize:(i+1)*wire.SampleRecordSize], &sc.rsmp[i]); err != nil {
 			s.protoErrs.Inc()
 			_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadFrame, Msg: []byte(err.Error())})
 			return false
 		}
-		if !s.queueSample(sc, &smp) {
-			return false
+	}
+	return s.queueSamples(sc)
+}
+
+// queueSamples routes the decoded samples in sc.rsmp to their
+// sessions' pinned workers: it resolves every record's session under
+// one s.mu hold, answers records naming no session of this connection
+// with CodeUnknownSession (the connection survives), and enqueues the
+// rest. It reports whether the connection should stay open.
+func (s *Server) queueSamples(sc *serverConn) bool {
+	n := len(sc.rsmp)
+	if cap(sc.rwork) < n {
+		sc.rsess = make([]*session, n)
+		sc.rwork = make([]int, n)
+	}
+	sc.rsess, sc.rwork = sc.rsess[:n], sc.rwork[:n]
+	s.mu.Lock()
+	for i := range sc.rsmp {
+		id := sc.rsmp[i].SessionID
+		if i > 0 && id == sc.rsmp[i-1].SessionID {
+			// Clients send a session's samples in runs: resolve once.
+			sc.rsess[i], sc.rwork[i] = sc.rsess[i-1], sc.rwork[i-1]
+		} else if sess := s.sessions[id]; sess != nil && sess.conn == sc {
+			sc.rsess[i], sc.rwork[i] = sess, s.workerFor(id).idx
+		} else {
+			sc.rsess[i], sc.rwork[i] = nil, -1
 		}
 	}
+	s.mu.Unlock()
+	for i := range sc.rsess {
+		if sc.rsess[i] == nil {
+			s.protoErrs.Inc()
+			_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeUnknownSession,
+				SessionID: sc.rsmp[i].SessionID, Msg: []byte("no such session on this connection")})
+		}
+	}
+	s.enqueueResolved(sc)
 	return true
 }
 
-// queueSample routes one decoded sample to its session's pinned
-// worker, accounting evictions; shared by the per-frame and batch
-// read paths. It reports whether the connection should stay open.
-func (s *Server) queueSample(sc *serverConn, smp *wire.Sample) bool {
-	s.mu.Lock()
-	sess := s.sessions[smp.SessionID]
-	s.mu.Unlock()
-	if sess == nil || sess.conn != sc {
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeUnknownSession,
-			SessionID: smp.SessionID, Msg: []byte("no such session on this connection")})
-		return true
-	}
-	w := s.workerFor(sess.id)
-	w.mu.Lock()
-	if sess.state != StateOpen && sess.state != StateNegotiating {
+// enqueueResolved pushes each resolved record of sc.rsmp onto its
+// session's queue, taking each touched worker's lock once and pushing
+// that worker's records in frame order, so every session's samples
+// keep their order. Evictions are accounted as shed, all at the
+// instant of the batch's first eviction.
+//
+//lint:hotpath
+func (s *Server) enqueueResolved(sc *serverConn) {
+	var shedNs int64
+	shedAt := false
+	for i := range sc.rwork {
+		wi := sc.rwork[i]
+		if wi < 0 {
+			continue
+		}
+		w := s.workers[wi]
+		w.mu.Lock()
+		for j := i; j < len(sc.rwork); j++ {
+			if sc.rwork[j] != wi {
+				continue
+			}
+			sc.rwork[j] = -1
+			sess := sc.rsess[j]
+			if sess.state != StateOpen && sess.state != StateNegotiating {
+				continue // draining/closed: late samples are dropped silently
+			}
+			if d := sess.queue.push(sc.rsmp[j]); d > 0 {
+				sess.dropped += uint64(d)
+				s.drops.Add(uint64(d))
+				// A shed sample was never served, so it has no class or
+				// setting; the rollup counts it against the fleet's shed
+				// rate only.
+				if !shedAt {
+					shedNs, shedAt = s.clock().UnixNano(), true
+				}
+				s.agg.IngestAt(w.idx, shedNs, sess.id,
+					phase.ClassUnknown, 0, agg.OutcomeShed, 0)
+			}
+			w.scheduleLocked(sess)
+		}
 		w.mu.Unlock()
-		return true // draining/closed: late samples are dropped silently
 	}
-	if d := sess.queue.push(*smp); d > 0 {
-		sess.dropped += uint64(d)
-		s.drops.Add(uint64(d))
-		// A shed sample was never served, so it has no class or setting;
-		// the rollup counts it against the fleet's shed rate only.
-		s.agg.IngestAt(w.idx, s.clock().UnixNano(), sess.id,
-			phase.ClassUnknown, 0, agg.OutcomeShed, 0)
-	}
-	w.scheduleLocked(sess)
-	w.mu.Unlock()
-	return true
 }
 
 // handleClientDrain begins a client-initiated session drain.
