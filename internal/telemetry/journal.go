@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 )
 
 // EventKind discriminates journal events.
@@ -70,8 +71,8 @@ type Event struct {
 	// Step is the monitor step (sampling interval index) the event
 	// belongs to; -1 when the emitting site has no interval context.
 	Step int `json:"step"`
-	// UnixNs is the hub clock's reading when the event was recorded,
-	// in Unix nanoseconds; 0 when the event was built without a hub.
+	// UnixNs is the wall clock's reading when the journal recorded the
+	// event, in Unix nanoseconds.
 	UnixNs int64 `json:"unix_ns,omitempty"`
 	// From and To describe a transition (phase or setting, per Kind).
 	From int `json:"from,omitempty"`
@@ -113,12 +114,14 @@ func NewJournal(capacity int) *Journal {
 	return &Journal{buf: make([]Event, capacity)}
 }
 
-// Record appends an event, assigning its sequence number. The oldest
-// event is evicted when the buffer is full.
+// Record appends an event, assigning its sequence number and stamping
+// UnixNs with the wall clock. The oldest event is evicted when the
+// buffer is full. A nil journal records nothing and reads no clock.
 func (j *Journal) Record(e Event) {
 	if j == nil {
 		return
 	}
+	e.UnixNs = time.Now().UnixNano()
 	j.mu.Lock()
 	e.Seq = j.seq
 	j.seq++
